@@ -3,29 +3,41 @@
 #include "ir/Verifier.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace lcm;
 
 namespace {
 
-/// Marks everything reachable from \p Start following \p NextOf.
-template <typename SuccFn>
-std::vector<bool> reach(const Function &Fn, BlockId Start, SuccFn NextOf) {
-  std::vector<bool> Seen(Fn.numBlocks(), false);
-  std::vector<BlockId> Stack{Start};
-  Seen[Start] = true;
-  while (!Stack.empty()) {
-    BlockId B = Stack.back();
-    Stack.pop_back();
-    for (BlockId N : NextOf(B)) {
-      if (!Seen[N]) {
-        Seen[N] = true;
-        Stack.push_back(N);
+/// Per-thread working storage, reused across calls so that verifying a
+/// valid function allocates nothing once warm.
+struct VerifierScratch {
+  std::vector<uint64_t> SuccEdges; ///< (from << 32 | to), sorted.
+  std::vector<char> Matched;       ///< Per SuccEdges slot: named by a pred.
+  std::vector<char> Seen;
+  std::vector<BlockId> Stack;
+};
+
+uint64_t edgeKey(BlockId From, BlockId To) {
+  return uint64_t(From) << 32 | To;
+}
+
+/// Marks in \p S.Seen everything reachable from \p Start along successor
+/// edges (\p Forward) or predecessor edges.
+void reach(const Function &Fn, BlockId Start, bool Forward,
+           VerifierScratch &S) {
+  S.Seen.assign(Fn.numBlocks(), 0);
+  S.Stack.assign(1, Start);
+  S.Seen[Start] = 1;
+  while (!S.Stack.empty()) {
+    const BasicBlock &B = Fn.block(S.Stack.back());
+    S.Stack.pop_back();
+    for (BlockId N : Forward ? B.succs() : B.preds()) {
+      if (!S.Seen[N]) {
+        S.Seen[N] = 1;
+        S.Stack.push_back(N);
       }
     }
   }
-  return Seen;
 }
 
 } // namespace
@@ -45,41 +57,59 @@ std::vector<std::string> lcm::verifyFunction(const Function &Fn) {
   if (!Fn.block(Fn.entry()).preds().empty())
     fail("entry block has predecessors");
 
-  // Unique exit.
-  std::vector<BlockId> Exits;
-  for (const BasicBlock &B : Fn.blocks())
-    if (B.succs().empty())
-      Exits.push_back(B.id());
-  if (Exits.size() != 1)
-    fail("expected exactly one exit block, found " +
-         std::to_string(Exits.size()));
+  thread_local VerifierScratch S;
 
-  // Edge symmetry: succ multiset of edges must equal pred multiset.
-  std::map<std::pair<BlockId, BlockId>, int> EdgeCount;
+  // Unique exit.
+  size_t NumExits = 0;
+  BlockId Exit = InvalidBlock;
+  for (const BasicBlock &B : Fn.blocks())
+    if (B.succs().empty() && NumExits++ == 0)
+      Exit = B.id();
+  if (NumExits != 1)
+    fail("expected exactly one exit block, found " +
+         std::to_string(NumExits));
+
+  // Edge symmetry: the succ multiset of edges must equal the pred
+  // multiset.  Each pred entry claims one unclaimed copy of its edge in
+  // the sorted succ edge list; what stays unclaimed is missing.  Claims
+  // fill each run of equal edges from the front, so an edge is reported
+  // missing once, at the first unclaimed slot of its run.
+  S.SuccEdges.clear();
   for (const BasicBlock &B : Fn.blocks()) {
-    for (BlockId S : B.succs()) {
-      if (S >= Fn.numBlocks()) {
+    for (BlockId Succ : B.succs()) {
+      if (Succ >= Fn.numBlocks()) {
         fail("block " + B.label() + " has out-of-range successor");
         continue;
       }
-      ++EdgeCount[{B.id(), S}];
+      S.SuccEdges.push_back(edgeKey(B.id(), Succ));
     }
   }
+  std::sort(S.SuccEdges.begin(), S.SuccEdges.end());
+  S.Matched.assign(S.SuccEdges.size(), 0);
   for (const BasicBlock &B : Fn.blocks()) {
     for (BlockId P : B.preds()) {
       if (P >= Fn.numBlocks()) {
         fail("block " + B.label() + " has out-of-range predecessor");
         continue;
       }
-      if (--EdgeCount[{P, B.id()}] < 0)
+      const uint64_t Key = edgeKey(P, B.id());
+      auto It = std::lower_bound(S.SuccEdges.begin(), S.SuccEdges.end(), Key);
+      size_t I = It - S.SuccEdges.begin();
+      while (I != S.SuccEdges.size() && S.SuccEdges[I] == Key && S.Matched[I])
+        ++I;
+      if (I != S.SuccEdges.size() && S.SuccEdges[I] == Key)
+        S.Matched[I] = 1;
+      else
         fail("pred list of " + B.label() + " names " + Fn.block(P).label() +
              " more often than the successor lists do");
     }
   }
-  for (const auto &[Edge, Count] : EdgeCount)
-    if (Count > 0)
-      fail("edge " + Fn.block(Edge.first).label() + " -> " +
-           Fn.block(Edge.second).label() + " missing from pred list");
+  for (size_t I = 0; I != S.SuccEdges.size(); ++I)
+    if (!S.Matched[I] &&
+        (I == 0 || S.SuccEdges[I - 1] != S.SuccEdges[I] || S.Matched[I - 1]))
+      fail("edge " + Fn.block(BlockId(S.SuccEdges[I] >> 32)).label() +
+           " -> " + Fn.block(BlockId(S.SuccEdges[I])).label() +
+           " missing from pred list");
 
   // Branch condition sanity.
   for (const BasicBlock &B : Fn.blocks()) {
@@ -146,23 +176,15 @@ std::vector<std::string> lcm::verifyFunction(const Function &Fn) {
   }
 
   // Reachability: every block reachable from entry, exit reachable from all.
-  std::vector<bool> FromEntry =
-      reach(Fn, Fn.entry(),
-            [&Fn](BlockId B) -> const std::vector<BlockId> & {
-              return Fn.block(B).succs();
-            });
+  reach(Fn, Fn.entry(), /*Forward=*/true, S);
   for (const BasicBlock &B : Fn.blocks())
-    if (!FromEntry[B.id()])
+    if (!S.Seen[B.id()])
       fail("block " + B.label() + " unreachable from entry");
 
-  if (Exits.size() == 1) {
-    std::vector<bool> ToExit =
-        reach(Fn, Exits[0],
-              [&Fn](BlockId B) -> const std::vector<BlockId> & {
-                return Fn.block(B).preds();
-              });
+  if (NumExits == 1) {
+    reach(Fn, Exit, /*Forward=*/false, S);
     for (const BasicBlock &B : Fn.blocks())
-      if (!ToExit[B.id()])
+      if (!S.Seen[B.id()])
         fail("block " + B.label() + " cannot reach the exit");
   }
 

@@ -66,7 +66,13 @@ private:
     // Condition computed from program state: c = x < y.
     std::string Cond = "c" + std::to_string(NextCounter++);
     B.setBlock(Cur);
-    B.op(Cond, Opcode::CmpLt, randomOperand(), randomOperand());
+    // Drawn in sequence: the evaluation order of function arguments is
+    // unspecified, and the program must not depend on the compiler.  Rhs
+    // first is the order GCC used, so the seeded programs (and every
+    // figure pinned on them) stay as they were.
+    const Operand Rhs = randomOperand();
+    const Operand Lhs = randomOperand();
+    B.op(Cond, Opcode::CmpLt, Lhs, Rhs);
 
     BlockId Then = B.startBlock(freshLabel("t"));
     BlockId Else = B.startBlock(freshLabel("e"));

@@ -21,9 +21,12 @@
 #include "cache/ContentHash.h"
 #include "core/Lcm.h"
 #include "core/LocalCse.h"
+#include "gvn/Gvn.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "ir/Verifier.h"
 #include "support/AllocHook.h"
+#include "workload/AddressGen.h"
 #include "workload/Corpus.h"
 
 using namespace lcm;
@@ -38,6 +41,22 @@ std::vector<std::string> corpusTexts() {
     Function Fn = Entry.Make();
     Texts.push_back(printFunction(Fn));
   }
+  return Texts;
+}
+
+/// The corpus texts plus one wide memory kernel (7 blocks, ~2,000
+/// instructions, ~1,500 variables), the shape where GVN's per-variable
+/// block-entry state dominates.
+std::vector<std::string> corpusAndWideTexts() {
+  std::vector<std::string> Texts = corpusTexts();
+  MemoryGenOptions Opts;
+  Opts.Seed = 3;
+  Opts.Depth = 2;
+  Opts.TripCount = 3;
+  Opts.NumArrays = 24;
+  Opts.StmtsPerBody = 480;
+  Opts.ReusePercent = 20;
+  Texts.push_back(printFunction(generateMemoryKernel(Opts)));
   return Texts;
 }
 
@@ -141,6 +160,44 @@ TEST(AllocRegressionTest, FullRequestLoopIsAllocationFreeWhenWarm) {
         Out.clear();
         printFunction(Ir.Fn, Out);
         ASSERT_FALSE(Out.empty());
+      });
+  EXPECT_EQ(Allocs, 0u);
+}
+
+TEST(AllocRegressionTest, GvnIsAllocationFreeWhenWarm) {
+  if (!alloccount::active())
+    GTEST_SKIP() << "alloc hook inert under sanitizers";
+  const std::vector<std::string> Texts = corpusAndWideTexts();
+  const IRLimits Limits;
+  ParserScratch Scratch;
+  ParseResult Ir;
+  PreRunResult R;
+  uint64_t Numbered = 0;
+  const uint64_t Allocs =
+      steadyStateAllocations(Texts, [&](const std::string &Text) {
+        parseFunctionInto(Text, Limits, Scratch, Ir);
+        ASSERT_TRUE(Ir.Ok) << Ir.Error;
+        runLocalCse(Ir.Fn);
+        Numbered += gvn::runGvn(Ir.Fn).InstrsNumbered;
+        runLocalCse(Ir.Fn);
+        runPreInto(Ir.Fn, PreStrategy::Lazy, SolverStrategy::Sparse, R);
+      });
+  EXPECT_EQ(Allocs, 0u);
+  EXPECT_NE(Numbered, 0u);
+}
+
+TEST(AllocRegressionTest, VerifierIsAllocationFreeWhenWarm) {
+  if (!alloccount::active())
+    GTEST_SKIP() << "alloc hook inert under sanitizers";
+  const std::vector<std::string> Texts = corpusAndWideTexts();
+  const IRLimits Limits;
+  ParserScratch Scratch;
+  ParseResult Ir;
+  const uint64_t Allocs =
+      steadyStateAllocations(Texts, [&](const std::string &Text) {
+        parseFunctionInto(Text, Limits, Scratch, Ir);
+        ASSERT_TRUE(Ir.Ok) << Ir.Error;
+        ASSERT_TRUE(verifyFunction(Ir.Fn).empty());
       });
   EXPECT_EQ(Allocs, 0u);
 }

@@ -10,6 +10,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "baseline/Cleanup.h"
+#include "cache/ContentHash.h"
+#include "core/LocalCse.h"
+#include "driver/CorpusDriver.h"
 #include "driver/Pipeline.h"
 #include "gvn/Gvn.h"
 #include "interp/Interpreter.h"
@@ -18,6 +21,7 @@
 #include "ir/Verifier.h"
 #include "metrics/Cost.h"
 #include "workload/AddressGen.h"
+#include "workload/Corpus.h"
 #include "workload/RandomCfg.h"
 #include "workload/StructuredGen.h"
 
@@ -334,6 +338,90 @@ TEST_P(GvnVsLexical, GvnAlonePreservesSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GvnVsLexical, testing::Range(0u, 72u));
+
+//===----------------------------------------------------------------------===//
+// Identity pin: class ids, homes and rewritten text over a fixed draw
+//===----------------------------------------------------------------------===//
+
+/// A memory kernel of the wide shape (7 blocks, ~2,000 instructions, some
+/// 1,500 variables): where GVN's cost per instruction shows.
+Function makeWideKernel(uint64_t Seed) {
+  MemoryGenOptions Opts;
+  Opts.Seed = Seed;
+  Opts.Depth = 2;
+  Opts.TripCount = 3;
+  Opts.NumArrays = 24;
+  Opts.StmtsPerBody = 480 + 40 * unsigned(Seed % 3);
+  Opts.ReusePercent = 20;
+  return generateMemoryKernel(Opts);
+}
+
+/// The pinned draw: the default corpus, the harness programs and four
+/// wide kernels.
+std::vector<Function> identityDraw() {
+  std::vector<Function> Fns;
+  for (const CorpusEntry &E : makeDefaultCorpus())
+    Fns.push_back(E.Make());
+  for (unsigned I = 0; I != 72; ++I)
+    Fns.push_back(makeHarnessProgram(I));
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+    Fns.push_back(makeWideKernel(Seed));
+  return Fns;
+}
+
+/// Folds one GVN run into \p H: the rewritten text, every class id, the
+/// class count and the report.
+void hashGvnRun(Function Fn, cache::Hasher &H) {
+  gvn::ValueNumbering VN;
+  const gvn::GvnReport R = gvn::runGvn(Fn, &VN);
+  H.update(printFunction(Fn));
+  for (const std::vector<gvn::ClassId> &Block : VN.ClassOf) {
+    H.updateU64(Block.size());
+    for (gvn::ClassId C : Block)
+      H.updateU64(C);
+  }
+  H.updateU64(VN.NumClasses);
+  H.updateU64(R.Classes);
+  H.updateU64(R.MergedExprs);
+  H.updateU64(R.OperandsRewritten);
+  H.updateU64(R.InstrsNumbered);
+}
+
+// Class ids come from creation order along the RPO walk and homes from the
+// first variable seen holding a class; a change to the pass's data
+// structures must reproduce both exactly.  The digest was taken from the
+// std::map-interned implementation.
+TEST(GvnIdentity, DigestOverFixedDrawIsPinned) {
+  cache::Hasher H;
+  for (Function &Fn : identityDraw()) {
+    hashGvnRun(Fn, H); // as written
+    runLocalCse(Fn);
+    hashGvnRun(Fn, H); // as the `gvn` pipeline pass sees it
+  }
+  EXPECT_EQ(H.digest().hex(), "014779cfcde90e4dac097b75d4fd86af");
+}
+
+// The pass keeps its numbering state in thread-local storage reused across
+// calls; the corpus driver on four threads must reproduce the serial
+// outputs exactly (and run clean under TSan).
+TEST(GvnIdentity, CorpusDriverThreadsAgree) {
+  PipelineParse P = parsePipeline("lcse,gvn,lcm");
+  ASSERT_TRUE(P.Ok) << P.Error;
+  std::vector<Function> Serial = identityDraw();
+  std::vector<Function> Parallel = identityDraw();
+  CorpusDriverResult SR = optimizeCorpus(Serial, P.P, {.Threads = 1});
+  CorpusDriverResult PR = optimizeCorpus(Parallel, P.P, {.Threads = 4});
+  ASSERT_EQ(SR.NumFailed, 0u);
+  ASSERT_EQ(PR.NumFailed, 0u);
+  EXPECT_EQ(PR.ThreadsUsed, 4u);
+  EXPECT_EQ(SR.TotalChanges, PR.TotalChanges);
+  for (size_t I = 0; I != Serial.size(); ++I) {
+    EXPECT_EQ(SR.PerFunction[I].Changes, PR.PerFunction[I].Changes)
+        << "function " << I;
+    EXPECT_EQ(printFunction(Serial[I]), printFunction(Parallel[I]))
+        << "function " << I;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Memory IR model
