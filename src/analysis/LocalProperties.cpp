@@ -2,6 +2,8 @@
 
 #include "analysis/LocalProperties.h"
 
+#include "analysis/BlockDefs.h"
+
 using namespace lcm;
 
 void LocalProperties::recompute(const Function &Fn) {
@@ -12,37 +14,27 @@ void LocalProperties::recompute(const Function &Fn) {
   reshapeRows(Comp, Fn.numBlocks(), NumExprs);
   reshapeRows(Transp, Fn.numBlocks(), NumExprs, true);
 
-  thread_local BitVector Killed;
-  Killed.resize(NumExprs);
-  Killed.resetAll();
+  // Per block O(instructions + readers of the variables it defines): the
+  // kill facts come from definition positions (analysis/BlockDefs.h).
+  thread_local BlockDefs Defs;
   for (const BasicBlock &B : Fn.blocks()) {
     const auto &Instrs = B.instrs();
-
-    // Forward pass: upward exposure and transparency.
-    Killed.resetAll();
-    for (const Instr &I : Instrs) {
-      if (I.isOperation()) {
-        ExprId E = I.exprId();
-        if (!Killed.test(E))
-          AntLoc[B.id()].set(E);
-      }
-      const BitVector &Readers = Pool.exprsReadingVar(I.dest());
-      Killed |= Readers;
-      Transp[B.id()].andNot(Readers);
-    }
-
-    // Backward pass: downward exposure.  An occurrence is downward exposed
-    // iff no later instruction (including its own destination write) kills
-    // the expression.
-    Killed.resetAll();
-    for (size_t I = Instrs.size(); I-- != 0;) {
-      const Instr &In = Instrs[I];
-      if (In.isOperation()) {
-        ExprId E = In.exprId();
-        if (!Killed.test(E) && !Pool.reads(E, In.dest()))
-          Comp[B.id()].set(E);
-      }
-      Killed |= Pool.exprsReadingVar(In.dest());
+    Defs.scanBlock(Instrs, Fn.numVars());
+    BitVector &Tr = Transp[B.id()];
+    for (uint32_t Pos = 0; Pos != Instrs.size(); ++Pos) {
+      const Instr &I = Instrs[Pos];
+      // TRANSP: each variable the block defines kills its readers, once.
+      if (Defs.isFirstDef(I.dest(), Pos))
+        for (ExprId E : Pool.readersOf(I.dest()))
+          Tr.reset(E);
+      if (!I.isOperation())
+        continue;
+      const ExprId E = I.exprId();
+      const Expr &Ex = Pool.expr(E);
+      if (Defs.upwardExposed(Ex, Pos))
+        AntLoc[B.id()].set(E);
+      if (Defs.downwardExposed(Ex, Pos))
+        Comp[B.id()].set(E);
     }
   }
 }

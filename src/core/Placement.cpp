@@ -2,6 +2,7 @@
 
 #include "core/Placement.h"
 
+#include "analysis/BlockDefs.h"
 #include "support/Stats.h"
 
 using namespace lcm;
@@ -67,44 +68,23 @@ PrePlacement lcm::filterPlacementForCodeSize(const PrePlacement &P,
   return Out;
 }
 
-namespace {
-
-/// Per-instruction exposure flags within one block.
-struct Exposure {
-  std::vector<bool> Upward;
-  std::vector<bool> Downward;
-};
-
-/// Computes, for each Operation instruction of \p B, whether it is the
-/// upward- and/or downward-exposed occurrence of its expression, writing
-/// into reused storage.
-void computeExposureInto(const Function &Fn, const BasicBlock &B,
-                         Exposure &X) {
+void lcm::computeExposureInto(const Function &Fn, const BasicBlock &B,
+                              Exposure &X) {
   const ExprPool &Pool = Fn.exprs();
   const auto &Instrs = B.instrs();
   X.Upward.assign(Instrs.size(), false);
   X.Downward.assign(Instrs.size(), false);
 
-  thread_local BitVector Killed;
-  Killed.resize(Pool.size());
-  Killed.resetAll();
-  for (size_t I = 0; I != Instrs.size(); ++I) {
-    const Instr &In = Instrs[I];
-    if (In.isOperation() && !Killed.test(In.exprId()))
-      X.Upward[I] = true;
-    Killed |= Pool.exprsReadingVar(In.dest());
-  }
-  Killed.resetAll();
-  for (size_t I = Instrs.size(); I-- != 0;) {
-    const Instr &In = Instrs[I];
-    if (In.isOperation() && !Killed.test(In.exprId()) &&
-        !Pool.reads(In.exprId(), In.dest()))
-      X.Downward[I] = true;
-    Killed |= Pool.exprsReadingVar(In.dest());
+  thread_local BlockDefs Defs;
+  Defs.scanBlock(Instrs, Fn.numVars());
+  for (uint32_t I = 0; I != Instrs.size(); ++I) {
+    if (!Instrs[I].isOperation())
+      continue;
+    const Expr &Ex = Pool.expr(Instrs[I].exprId());
+    X.Upward[I] = Defs.upwardExposed(Ex, I);
+    X.Downward[I] = Defs.downwardExposed(Ex, I);
   }
 }
-
-} // namespace
 
 void lcm::applyPlacement(Function &Fn, const CfgEdges &Edges,
                          const PrePlacement &P, ApplyReport &R) {

@@ -103,6 +103,20 @@ ApplyReport applyPlacement(Function &Fn, const CfgEdges &Edges,
 void applyPlacement(Function &Fn, const CfgEdges &Edges,
                     const PrePlacement &P, ApplyReport &R);
 
+/// Which computations of one block the rewrite may touch: Upward[i] is
+/// true iff instruction i is an operation none of whose operands is
+/// defined earlier in the block (the occurrences ANTLOC speaks of, which
+/// Delete replaces); Downward[i] iff none is defined at i or later (the
+/// occurrences COMP speaks of, which Save extends).
+struct Exposure {
+  std::vector<bool> Upward;
+  std::vector<bool> Downward;
+};
+
+/// Fills \p X for block \p B of \p Fn, reusing its storage.
+void computeExposureInto(const Function &Fn, const BasicBlock &B,
+                         Exposure &X);
+
 } // namespace lcm
 
 #endif // LCM_CORE_PLACEMENT_H

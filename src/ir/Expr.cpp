@@ -179,7 +179,7 @@ uint64_t ExprPool::hashExpr(const Expr &E) {
   return H;
 }
 
-ExprId ExprPool::intern(const Expr &E) {
+ExprId ExprPool::intern(const Expr &E, size_t Cap) {
   Expr Canonical = E;
   if (!isBinaryOpcode(E.Op))
     Canonical.Rhs = Operand::makeConst(0); // Normalize the unused slot.
@@ -188,12 +188,15 @@ ExprId ExprPool::intern(const Expr &E) {
       Index.find(H, [&](uint32_t Id) { return Exprs[Id] == Canonical; });
   if (Existing != InternTable::npos)
     return Existing;
+  if (Exprs.size() >= Cap)
+    return InvalidExpr;
   ExprId Id = ExprId(Exprs.size());
   Exprs.push_back(Canonical);
   Index.insert(H, Id);
   if (Canonical.Lhs.isVar())
     noteReader(Canonical.Lhs.var(), Id);
-  if (Canonical.isBinary() && Canonical.Rhs.isVar())
+  if (Canonical.isBinary() && Canonical.Rhs.isVar() &&
+      !(Canonical.Lhs == Canonical.Rhs))
     noteReader(Canonical.Rhs.var(), Id);
   return Id;
 }
@@ -211,29 +214,21 @@ ExprId ExprPool::lookup(const Expr &E) const {
 void ExprPool::clearRetaining() {
   Exprs.clear();
   Index.clearRetaining();
-  for (BitVector &Row : ReadersOfVar)
-    Row.resize(0);
-  EmptyReaders.resize(0);
+  Ends.clear();
+  Links.clear();
 }
 
 void ExprPool::noteReader(VarId V, ExprId E) {
-  if (ReadersOfVar.size() <= V)
-    ReadersOfVar.resize(V + 1);
-  BitVector &BV = ReadersOfVar[V];
-  if (BV.size() < Exprs.size() + 1)
-    BV.resize(Exprs.size() + 1);
-  BV.set(E);
-}
-
-const BitVector &ExprPool::exprsReadingVar(VarId V) const {
-  if (V >= ReadersOfVar.size()) {
-    EmptyReaders.resize(Exprs.size());
-    return EmptyReaders;
-  }
-  BitVector &BV = ReadersOfVar[V];
-  if (BV.size() != Exprs.size())
-    BV.resize(Exprs.size());
-  return BV;
+  if (Ends.size() <= V)
+    Ends.resize(V + 1);
+  const uint32_t L = uint32_t(Links.size());
+  Links.push_back({E, NoLink});
+  ReaderEnds &R = Ends[V];
+  if (R.Tail == NoLink)
+    R.Head = L;
+  else
+    Links[R.Tail].Next = L;
+  R.Tail = L;
 }
 
 bool ExprPool::reads(ExprId Id, VarId V) const {

@@ -20,6 +20,7 @@
 #define LCM_IR_EXPR_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,7 +68,7 @@ enum class Opcode : uint8_t {
   // Memory.  A load is a *binary* expression: Lhs is the address and Rhs
   // names the function's memory pseudo-variable `@mem`
   // (Function::memoryVar), so every store -- which writes `@mem` -- kills
-  // every load through the ordinary exprsReadingVar machinery.
+  // every load through the ordinary per-variable reader lists.
   Load,
 };
 
@@ -178,11 +179,55 @@ struct Expr {
 };
 
 /// Interns operation expressions and assigns dense ids; also maintains the
-/// var -> expressions-that-read-it index used to compute transparency.
+/// var -> expressions-that-read-it lists used to compute transparency.
 class ExprPool {
+  /// One entry of a variable's reader list: a chain through Links.
+  struct ReaderLink {
+    ExprId Id;
+    uint32_t Next;
+  };
+  static constexpr uint32_t NoLink = ~uint32_t(0);
+
 public:
-  /// Interns \p E, returning its (possibly preexisting) id.
-  ExprId intern(const Expr &E);
+  /// The expressions that read one variable, in interning order.  A
+  /// forward range over the pool's storage; it stays valid until the next
+  /// intern() or clearRetaining().
+  class ReaderList {
+  public:
+    class iterator {
+    public:
+      ExprId operator*() const { return Links[Cur].Id; }
+      iterator &operator++() {
+        Cur = Links[Cur].Next;
+        return *this;
+      }
+      bool operator==(const iterator &RHS) const { return Cur == RHS.Cur; }
+      bool operator!=(const iterator &RHS) const { return Cur != RHS.Cur; }
+
+    private:
+      friend class ReaderList;
+      iterator(const ReaderLink *Links, uint32_t Cur)
+          : Links(Links), Cur(Cur) {}
+      const ReaderLink *Links;
+      uint32_t Cur;
+    };
+
+    iterator begin() const { return iterator(Links, Head); }
+    iterator end() const { return iterator(Links, NoLink); }
+    bool empty() const { return Head == NoLink; }
+
+  private:
+    friend class ExprPool;
+    ReaderList(const ReaderLink *Links, uint32_t Head)
+        : Links(Links), Head(Head) {}
+    const ReaderLink *Links;
+    uint32_t Head;
+  };
+
+  /// Interns \p E, returning its (possibly preexisting) id, or InvalidExpr
+  /// when \p E is new and the pool already holds \p Cap expressions.  One
+  /// hash, one table probe.
+  ExprId intern(const Expr &E, size_t Cap = SIZE_MAX);
 
   /// Looks up \p E without interning; returns InvalidExpr if absent.
   ExprId lookup(const Expr &E) const;
@@ -194,10 +239,10 @@ public:
 
   size_t size() const { return Exprs.size(); }
 
-  /// Bit vector (over expressions) of the expressions that read variable
-  /// \p V.  The reference stays valid until the next intern() that grows
-  /// the pool past its current capacity for V.
-  const BitVector &exprsReadingVar(VarId V) const;
+  /// The expressions that read variable \p V (`x * x` is listed once).
+  ReaderList readersOf(VarId V) const {
+    return ReaderList(Links.data(), V < Ends.size() ? Ends[V].Head : NoLink);
+  }
 
   /// True if expression \p Id reads variable \p V.
   bool reads(ExprId Id, VarId V) const;
@@ -206,17 +251,27 @@ public:
   std::vector<VarId> varsRead(ExprId Id) const;
 
   /// Empties the pool but keeps every internal buffer allocated (the hash
-  /// table's slots, the expression vector's capacity, the reader rows), so
+  /// table's slots, the expression vector's capacity, the reader lists), so
   /// a recycled Function re-interns without heap traffic.
   void clearRetaining();
 
 private:
+  /// First and last link of one variable's reader list.
+  struct ReaderEnds {
+    uint32_t Head = NoLink;
+    uint32_t Tail = NoLink;
+  };
+
   std::vector<Expr> Exprs;
   /// Hash -> ExprId; keys live in Exprs (see support/InternTable.h).
   InternTable Index;
-  /// Per variable, which expressions read it; lazily sized.
-  mutable std::vector<BitVector> ReadersOfVar;
-  mutable BitVector EmptyReaders;
+  /// Per variable, its reader list's ends; sized to the highest variable
+  /// any expression reads.
+  std::vector<ReaderEnds> Ends;
+  /// Every variable's reader list, chained through one flat array so a
+  /// recycled pool reaches its high-water capacity once, whatever the mix
+  /// of functions parsed into it.
+  std::vector<ReaderLink> Links;
 
   static uint64_t hashExpr(const Expr &E);
   void noteReader(VarId V, ExprId E);

@@ -43,12 +43,14 @@ void Function::resetRetainingStorage(std::string_view NewName) {
   NextTempSuffix = 0;
 }
 
-VarId Function::getOrAddVar(std::string_view VarName) {
+VarId Function::getOrAddVar(std::string_view VarName, size_t Cap) {
   const uint64_t H = InternTable::hashBytes(VarName);
   uint32_t Found =
       VarIndex.find(H, [&](uint32_t Id) { return VarNames[Id] == VarName; });
   if (Found != InternTable::npos)
     return Found;
+  if (NumVars >= Cap)
+    return InvalidVar;
   VarId Id = VarId(NumVars);
   if (NumVars < VarNames.size())
     VarNames[NumVars].assign(VarName); // Reuse a retired string's capacity.
@@ -64,8 +66,10 @@ VarId Function::addTempVar(std::string_view Hint) {
     ScratchName.assign(Hint);
     ScratchName.push_back('.');
     appendUInt(ScratchName, NextTempSuffix++);
-    if (findVar(ScratchName) == InvalidVar)
-      return getOrAddVar(ScratchName);
+    const size_t Before = NumVars;
+    const VarId V = getOrAddVar(ScratchName);
+    if (NumVars != Before)
+      return V;
   }
 }
 

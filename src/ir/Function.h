@@ -92,8 +92,10 @@ public:
   // Variables
   //===--------------------------------------------------------------------===
 
-  /// Creates (or returns the existing) variable named \p VarName.
-  VarId getOrAddVar(std::string_view VarName);
+  /// Creates (or returns the existing) variable named \p VarName, or
+  /// returns InvalidVar when the name is new and the function already has
+  /// \p Cap variables.  One hash, one table probe.
+  VarId getOrAddVar(std::string_view VarName, size_t Cap = SIZE_MAX);
 
   /// Creates a fresh variable with a unique name derived from \p Hint.
   VarId addTempVar(std::string_view Hint);
@@ -111,7 +113,8 @@ public:
   /// The `@mem` pseudo-variable modelling memory state: loads read it,
   /// stores write it (created on first use).  `@` is not a legal identifier
   /// head, so source programs can never name it directly.
-  VarId memoryVar() { return getOrAddVar("@mem"); }
+  /// \p Cap as for getOrAddVar.
+  VarId memoryVar(size_t Cap = SIZE_MAX) { return getOrAddVar("@mem", Cap); }
 
   /// `@mem`'s id if any load/store introduced it, else InvalidVar.
   VarId findMemoryVar() const { return findVar("@mem"); }

@@ -166,9 +166,20 @@ bool parseOperand(ParserState &S, std::string_view Tok, Operand &Out,
     Error = err(Line, "expected operand, got '" + std::string(Tok) + "'");
     return false;
   }
-  if (S.Fn.findVar(Tok) == InvalidVar && S.Fn.numVars() >= S.Limits.MaxVars)
+  const VarId V = S.Fn.getOrAddVar(Tok, S.Limits.MaxVars);
+  if (V == InvalidVar)
     return limitErr(S, Line, "variable count", S.Limits.MaxVars, Error);
-  Out = Operand::makeVar(S.Fn.getOrAddVar(Tok));
+  Out = Operand::makeVar(V);
+  return true;
+}
+
+/// Interns \p Ex under the expression cap and appends `Dest = Ex`.
+bool appendOperation(ParserState &S, std::vector<Instr> &Instrs, VarId Dest,
+                     const Expr &Ex, int Line, std::string &Error) {
+  const ExprId E = S.Fn.exprs().intern(Ex, S.Limits.MaxExprs);
+  if (E == InvalidExpr)
+    return limitErr(S, Line, "expression count", S.Limits.MaxExprs, Error);
+  Instrs.push_back(Instr::makeOperation(Dest, E));
   return true;
 }
 
@@ -192,10 +203,9 @@ bool parseAssignment(ParserState &S,
     Error = err(Line, "'@mem' is reserved and cannot be assigned");
     return false;
   }
-  if (S.Fn.findVar(Tokens[0]) == InvalidVar &&
-      S.Fn.numVars() >= S.Limits.MaxVars)
+  const VarId Dest = S.Fn.getOrAddVar(Tokens[0], S.Limits.MaxVars);
+  if (Dest == InvalidVar)
     return limitErr(S, Line, "variable count", S.Limits.MaxVars, Error);
-  VarId Dest = S.Fn.getOrAddVar(Tokens[0]);
   auto &Instrs = S.Fn.block(S.Cur).instrs();
 
   const size_t N = Tokens.size();
@@ -213,15 +223,12 @@ bool parseAssignment(ParserState &S,
     Operand Addr;
     if (!parseOperand(S, Tokens[3], Addr, Line, Error))
       return false;
-    if (S.Fn.findMemoryVar() == InvalidVar &&
-        S.Fn.numVars() >= S.Limits.MaxVars)
+    const VarId Mem = S.Fn.memoryVar(S.Limits.MaxVars);
+    if (Mem == InvalidVar)
       return limitErr(S, Line, "variable count", S.Limits.MaxVars, Error);
-    Expr Ex{Opcode::Load, Addr, Operand::makeVar(S.Fn.memoryVar())};
-    if (S.Fn.exprs().lookup(Ex) == InvalidExpr &&
-        S.Fn.exprs().size() >= S.Limits.MaxExprs)
-      return limitErr(S, Line, "expression count", S.Limits.MaxExprs, Error);
-    Instrs.push_back(Instr::makeOperation(Dest, S.Fn.exprs().intern(Ex)));
-    return true;
+    return appendOperation(S, Instrs, Dest,
+                           Expr{Opcode::Load, Addr, Operand::makeVar(Mem)},
+                           Line, Error);
   }
   if (N == 4) {
     // Unary: dst = (-|~) operand.
@@ -238,13 +245,8 @@ bool parseAssignment(ParserState &S,
     Operand Src;
     if (!parseOperand(S, Tokens[3], Src, Line, Error))
       return false;
-    Expr Ex{Op, Src, Operand::makeConst(0)};
-    if (S.Fn.exprs().lookup(Ex) == InvalidExpr &&
-        S.Fn.exprs().size() >= S.Limits.MaxExprs)
-      return limitErr(S, Line, "expression count", S.Limits.MaxExprs, Error);
-    ExprId E = S.Fn.exprs().intern(Ex);
-    Instrs.push_back(Instr::makeOperation(Dest, E));
-    return true;
+    return appendOperation(S, Instrs, Dest,
+                           Expr{Op, Src, Operand::makeConst(0)}, Line, Error);
   }
   if (N == 5) {
     // Binary: either "dst = a OP b" or "dst = min a b".
@@ -266,13 +268,7 @@ bool parseAssignment(ParserState &S,
                             std::string(Tokens[4]) + "'");
       return false;
     }
-    Expr Ex{Op, Lhs, Rhs};
-    if (S.Fn.exprs().lookup(Ex) == InvalidExpr &&
-        S.Fn.exprs().size() >= S.Limits.MaxExprs)
-      return limitErr(S, Line, "expression count", S.Limits.MaxExprs, Error);
-    ExprId E = S.Fn.exprs().intern(Ex);
-    Instrs.push_back(Instr::makeOperation(Dest, E));
-    return true;
+    return appendOperation(S, Instrs, Dest, Expr{Op, Lhs, Rhs}, Line, Error);
   }
   Error = err(Line, "malformed assignment");
   return false;
@@ -296,11 +292,10 @@ bool parseStore(ParserState &S, const std::vector<std::string_view> &Tokens,
   if (!parseOperand(S, Tokens[1], Addr, Line, Error) ||
       !parseOperand(S, Tokens[2], Value, Line, Error))
     return false;
-  if (S.Fn.findMemoryVar() == InvalidVar &&
-      S.Fn.numVars() >= S.Limits.MaxVars)
+  const VarId Mem = S.Fn.memoryVar(S.Limits.MaxVars);
+  if (Mem == InvalidVar)
     return limitErr(S, Line, "variable count", S.Limits.MaxVars, Error);
-  S.Fn.block(S.Cur).instrs().push_back(
-      Instr::makeStore(S.Fn.memoryVar(), Addr, Value));
+  S.Fn.block(S.Cur).instrs().push_back(Instr::makeStore(Mem, Addr, Value));
   return true;
 }
 
@@ -488,13 +483,13 @@ void lcm::parseFunctionInto(std::string_view Source, const IRLimits &Limits,
       S.Fn.addEdge(E.From, To);
     }
     if (!E.CondName.empty()) {
-      if (S.Fn.findVar(E.CondName) == InvalidVar &&
-          S.Fn.numVars() >= Limits.MaxVars) {
+      const VarId Cond = S.Fn.getOrAddVar(E.CondName, Limits.MaxVars);
+      if (Cond == InvalidVar) {
         limitErr(S, E.Line, "variable count", Limits.MaxVars, Result.Error);
         Result.OverLimit = true;
         return;
       }
-      S.Fn.block(E.From).setCondVar(S.Fn.getOrAddVar(E.CondName));
+      S.Fn.block(E.From).setCondVar(Cond);
     }
   }
 

@@ -14,7 +14,10 @@
 ///
 /// `clearRetaining()` empties the table without releasing its slot array,
 /// which is what makes repeated parses allocation-free after warm-up: the
-/// table reaches its high-water capacity once and is then recycled.
+/// table reaches its high-water capacity once and is then recycled.  A slot
+/// is occupied only if it carries the table's current generation, so a
+/// clear is O(1): a small function parsed after a large one does not pay
+/// to wipe the large one's slots.
 ///
 /// There is no erase.  Intended use is strictly insert-only between clears,
 /// and the caller must not insert a key that is already present (probe with
@@ -68,7 +71,7 @@ public:
     const size_t Mask = Slots.size() - 1;
     for (size_t I = size_t(Hash) & Mask;; I = (I + 1) & Mask) {
       const Slot &S = Slots[I];
-      if (!S.Occupied)
+      if (S.Gen != Gen)
         return npos;
       if (S.Hash == Hash && Equals(S.Id))
         return S.Id;
@@ -85,8 +88,11 @@ public:
 
   /// Empties the table but keeps the slot array allocated.
   void clearRetaining() {
-    for (Slot &S : Slots)
-      S = Slot();
+    if (++Gen == 0) { // Wrapped: retire every stale generation.
+      for (Slot &S : Slots)
+        S.Gen = 0;
+      Gen = 1;
+    }
     NumEntries = 0;
   }
 
@@ -97,29 +103,30 @@ private:
   struct Slot {
     uint64_t Hash = 0;
     uint32_t Id = 0;
-    bool Occupied = false;
+    uint32_t Gen = 0; ///< Occupied iff equal to the table's Gen.
   };
 
   void place(uint64_t Hash, uint32_t Id) {
     const size_t Mask = Slots.size() - 1;
     size_t I = size_t(Hash) & Mask;
-    while (Slots[I].Occupied)
+    while (Slots[I].Gen == Gen)
       I = (I + 1) & Mask;
     Slots[I].Hash = Hash;
     Slots[I].Id = Id;
-    Slots[I].Occupied = true;
+    Slots[I].Gen = Gen;
   }
 
   void grow() {
     std::vector<Slot> Old = std::move(Slots);
     Slots.assign(Old.empty() ? 16 : Old.size() * 2, Slot());
     for (const Slot &S : Old)
-      if (S.Occupied)
+      if (S.Gen == Gen)
         place(S.Hash, S.Id);
   }
 
   std::vector<Slot> Slots;
   size_t NumEntries = 0;
+  uint32_t Gen = 1;
 };
 
 } // namespace lcm

@@ -60,6 +60,20 @@ std::vector<std::string> corpusAndWideTexts() {
   return Texts;
 }
 
+/// Every corpus text with a wide memory kernel before each one: per-
+/// variable storage (reader lists, definition stamps) swings between
+/// ~1,500 variables and a handful on every step.
+std::vector<std::string> wideAlternatingTexts() {
+  const std::vector<std::string> Mixed = corpusAndWideTexts();
+  const std::string &Wide = Mixed.back();
+  std::vector<std::string> Texts;
+  for (size_t I = 0; I + 1 < Mixed.size(); ++I) {
+    Texts.push_back(Wide);
+    Texts.push_back(Mixed[I]);
+  }
+  return Texts;
+}
+
 constexpr unsigned WarmupIters = 32;
 constexpr unsigned MeasuredIters = 8;
 
@@ -146,6 +160,28 @@ TEST(AllocRegressionTest, FullRequestLoopIsAllocationFreeWhenWarm) {
   if (!alloccount::active())
     GTEST_SKIP() << "alloc hook inert under sanitizers";
   const std::vector<std::string> Texts = corpusTexts();
+  const IRLimits Limits;
+  ParserScratch Scratch;
+  ParseResult Ir;
+  PreRunResult R;
+  std::string Out;
+  const uint64_t Allocs =
+      steadyStateAllocations(Texts, [&](const std::string &Text) {
+        parseFunctionInto(Text, Limits, Scratch, Ir);
+        ASSERT_TRUE(Ir.Ok) << Ir.Error;
+        runLocalCse(Ir.Fn);
+        runPreInto(Ir.Fn, PreStrategy::Lazy, SolverStrategy::Sparse, R);
+        Out.clear();
+        printFunction(Ir.Fn, Out);
+        ASSERT_FALSE(Out.empty());
+      });
+  EXPECT_EQ(Allocs, 0u);
+}
+
+TEST(AllocRegressionTest, WideSmallAlternationIsAllocationFreeWhenWarm) {
+  if (!alloccount::active())
+    GTEST_SKIP() << "alloc hook inert under sanitizers";
+  const std::vector<std::string> Texts = wideAlternatingTexts();
   const IRLimits Limits;
   ParserScratch Scratch;
   ParseResult Ir;

@@ -9,6 +9,14 @@ using namespace lcm;
 
 namespace {
 
+/// Variable \p V's reader list, materialized for comparison.
+std::vector<ExprId> readers(const ExprPool &Pool, VarId V) {
+  std::vector<ExprId> Out;
+  for (ExprId E : Pool.readersOf(V))
+    Out.push_back(E);
+  return Out;
+}
+
 TEST(Opcode, BinaryClassification) {
   EXPECT_TRUE(isBinaryOpcode(Opcode::Add));
   EXPECT_TRUE(isBinaryOpcode(Opcode::CmpLe));
@@ -71,20 +79,19 @@ TEST(ExprPool, ReadersIndex) {
   ExprId C5 = Pool.intern(
       Expr{Opcode::Add, Operand::makeVar(2), Operand::makeConst(5)});
 
-  const BitVector &ReadsA = Pool.exprsReadingVar(0);
-  EXPECT_TRUE(ReadsA.test(AB));
-  EXPECT_TRUE(ReadsA.test(AC));
-  EXPECT_FALSE(ReadsA.test(C5));
-
-  const BitVector &ReadsC = Pool.exprsReadingVar(2);
-  EXPECT_FALSE(ReadsC.test(AB));
-  EXPECT_TRUE(ReadsC.test(AC));
-  EXPECT_TRUE(ReadsC.test(C5));
+  EXPECT_EQ(readers(Pool, 0), (std::vector<ExprId>{AB, AC}));
+  EXPECT_EQ(readers(Pool, 1), (std::vector<ExprId>{AB}));
+  EXPECT_EQ(readers(Pool, 2), (std::vector<ExprId>{AC, C5}));
 
   // A variable no expression reads.
-  const BitVector &ReadsZ = Pool.exprsReadingVar(57);
-  EXPECT_EQ(ReadsZ.size(), Pool.size());
-  EXPECT_TRUE(ReadsZ.none());
+  EXPECT_TRUE(Pool.readersOf(57).empty());
+  EXPECT_TRUE(readers(Pool, 57).empty());
+
+  // Re-interning an existing expression adds no reader entry.
+  EXPECT_EQ(Pool.intern(Expr{Opcode::Add, Operand::makeVar(0),
+                             Operand::makeVar(1)}),
+            AB);
+  EXPECT_EQ(readers(Pool, 0), (std::vector<ExprId>{AB, AC}));
 
   EXPECT_TRUE(Pool.reads(AB, 0));
   EXPECT_FALSE(Pool.reads(AB, 2));
@@ -97,6 +104,49 @@ TEST(ExprPool, VarsReadDeduplicates) {
   ExprId XX =
       Pool.intern(Expr{Opcode::Mul, Operand::makeVar(4), Operand::makeVar(4)});
   EXPECT_EQ(Pool.varsRead(XX), (std::vector<VarId>{4}));
+}
+
+TEST(ExprPool, ReadersListSelfProductOnce) {
+  ExprPool Pool;
+  ExprId XX =
+      Pool.intern(Expr{Opcode::Mul, Operand::makeVar(4), Operand::makeVar(4)});
+  ExprId X1 = Pool.intern(
+      Expr{Opcode::Add, Operand::makeVar(4), Operand::makeConst(1)});
+  EXPECT_EQ(readers(Pool, 4), (std::vector<ExprId>{XX, X1}));
+}
+
+TEST(ExprPool, ReadersAfterClearRetaining) {
+  ExprPool Pool;
+  Pool.intern(Expr{Opcode::Add, Operand::makeVar(0), Operand::makeVar(9)});
+  Pool.intern(Expr{Opcode::Sub, Operand::makeVar(9), Operand::makeVar(3)});
+  ASSERT_EQ(readers(Pool, 9).size(), 2u);
+
+  Pool.clearRetaining();
+  EXPECT_EQ(Pool.size(), 0u);
+  for (VarId V : {0u, 3u, 9u})
+    EXPECT_TRUE(Pool.readersOf(V).empty()) << "var " << V;
+
+  // Fresh ids, fresh lists: nothing from before the clear leaks through.
+  ExprId A = Pool.intern(
+      Expr{Opcode::Neg, Operand::makeVar(3), Operand::makeConst(0)});
+  ExprId B =
+      Pool.intern(Expr{Opcode::Add, Operand::makeVar(0), Operand::makeVar(9)});
+  EXPECT_EQ(A, 0u);
+  EXPECT_EQ(B, 1u);
+  EXPECT_EQ(readers(Pool, 3), (std::vector<ExprId>{A}));
+  EXPECT_EQ(readers(Pool, 0), (std::vector<ExprId>{B}));
+  EXPECT_EQ(readers(Pool, 9), (std::vector<ExprId>{B}));
+}
+
+TEST(ExprPool, InternRespectsCap) {
+  ExprPool Pool;
+  Expr AB{Opcode::Add, Operand::makeVar(0), Operand::makeVar(1)};
+  Expr AC{Opcode::Add, Operand::makeVar(0), Operand::makeVar(2)};
+  EXPECT_EQ(Pool.intern(AB, 1), 0u);
+  EXPECT_EQ(Pool.intern(AC, 1), InvalidExpr);
+  EXPECT_EQ(Pool.intern(AB, 1), 0u) << "existing expressions pass the cap";
+  EXPECT_EQ(Pool.size(), 1u);
+  EXPECT_EQ(readers(Pool, 2), std::vector<ExprId>{});
 }
 
 TEST(Function, VariableTable) {
@@ -114,6 +164,16 @@ TEST(Function, VariableTable) {
   Fn.getOrAddVar("h.1");
   VarId T2 = Fn.addTempVar("h");
   EXPECT_EQ(Fn.varName(T2), "h.2");
+}
+
+TEST(Function, GetOrAddVarRespectsCap) {
+  Function Fn("f");
+  VarId A = Fn.getOrAddVar("a", 1);
+  EXPECT_EQ(Fn.getOrAddVar("b", 1), InvalidVar);
+  EXPECT_EQ(Fn.getOrAddVar("a", 1), A) << "existing names pass the cap";
+  EXPECT_EQ(Fn.memoryVar(1), InvalidVar);
+  EXPECT_EQ(Fn.numVars(), 1u);
+  EXPECT_EQ(Fn.findVar("b"), InvalidVar);
 }
 
 TEST(Function, EntryAndExit) {

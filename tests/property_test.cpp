@@ -288,18 +288,22 @@ TEST_P(PreProperties, LocalCseEstablishesCleanBlocks) {
   // that is still locally available (operands unkilled since an earlier
   // in-block computation).  This is precisely when block-granularity
   // ANTLOC/COMP carry full occurrence information.
+  // Kills are computed by this oracle's own sweep over Pool.reads(), so it
+  // shares no code with the pass under test.
   const ExprPool &Pool = Fn.exprs();
   for (const BasicBlock &B : Fn.blocks()) {
-    BitVector Avail(Pool.size());
+    std::vector<bool> Avail(Pool.size(), false);
     for (const Instr &I : B.instrs()) {
       if (I.isOperation()) {
-        EXPECT_FALSE(Avail.test(I.exprId()))
+        EXPECT_FALSE(Avail[I.exprId()])
             << "block " << B.label() << " recomputes "
             << Fn.exprText(I.exprId());
       }
-      Avail.andNot(Pool.exprsReadingVar(I.dest()));
+      for (ExprId E = 0; E != Pool.size(); ++E)
+        if (Pool.reads(E, I.dest()))
+          Avail[E] = false;
       if (I.isOperation() && !Pool.reads(I.exprId(), I.dest()))
-        Avail.set(I.exprId());
+        Avail[I.exprId()] = true;
     }
   }
 }

@@ -1,5 +1,6 @@
-//===- tests/support_test.cpp - Rng, Stats, Table tests -------------------===//
+//===- tests/support_test.cpp - Rng, Stats, Table, InternTable tests ------===//
 
+#include "support/InternTable.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -90,6 +91,32 @@ TEST(Table, NumericFormatting) {
   std::string Out = T.render();
   EXPECT_NE(Out.find("3.142"), std::string::npos);
   EXPECT_NE(Out.find("-7"), std::string::npos);
+}
+
+TEST(InternTable, ClearRetainingForgetsEveryKey) {
+  // Keys are small integers hashed through mixHash64; Ids are Key + 100.
+  InternTable T;
+  auto find = [&T](uint32_t Key) {
+    return T.find(mixHash64(Key),
+                  [Key](uint32_t Id) { return Id == Key + 100; });
+  };
+  for (uint32_t Round = 0; Round != 3; ++Round) {
+    const uint32_t N = Round == 1 ? 5 : 1000; // large, small, large again
+    for (uint32_t K = 0; K != N; ++K) {
+      ASSERT_EQ(find(K), InternTable::npos) << "round " << Round;
+      T.insert(mixHash64(K), K + 100);
+    }
+    EXPECT_EQ(T.size(), N);
+    for (uint32_t K = 0; K != N; ++K)
+      EXPECT_EQ(find(K), K + 100);
+    EXPECT_EQ(find(N), InternTable::npos);
+    const size_t Capacity = T.capacity();
+    T.clearRetaining();
+    EXPECT_EQ(T.size(), 0u);
+    EXPECT_EQ(T.capacity(), Capacity);
+    for (uint32_t K = 0; K != N; ++K)
+      EXPECT_EQ(find(K), InternTable::npos);
+  }
 }
 
 } // namespace
