@@ -82,6 +82,12 @@ struct Digest {
   static bool fromHex(std::string_view S, Digest &Out);
 };
 
+/// Hash functor for Digest-keyed unordered containers.  Digests are
+/// already avalanche-mixed, so Lo alone is uniform.
+struct DigestHash {
+  size_t operator()(const Digest &D) const { return size_t(D.Lo); }
+};
+
 /// Incremental two-lane FNV-1a hasher.
 class Hasher {
 public:

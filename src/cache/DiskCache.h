@@ -28,8 +28,8 @@
 ///
 /// The class is thread-safe; a single mutex covers the (cheap) bookkeeping
 /// while file I/O happens outside it where possible.  It is an *L2*: the
-/// in-memory ShardedLruCache absorbs the hot keys, so disk traffic is
-/// dominated by warm-up and capacity misses.
+/// in-memory tier absorbs the hot keys, so disk traffic is dominated by
+/// warm-up and capacity misses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,7 @@
 #include <string>
 
 #include "cache/ContentHash.h"
-#include "cache/ShardedLruCache.h"
+#include "cache/CacheEntry.h"
 
 namespace lcm {
 namespace cache {

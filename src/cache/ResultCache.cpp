@@ -7,8 +7,12 @@
 using namespace lcm;
 using namespace lcm::cache;
 
-ResultCache::ResultCache(ResultCacheConfig Config)
-    : Memory({Config.MemoryBytes, Config.Shards}) {
+ResultCache::ResultCache(ResultCacheConfig Config) {
+  for (auto &Stripe : Memory)
+    Stripe = std::make_unique<MemoryLru>(
+        Config.MemoryBytes / NumStripes,
+        MemoryLru::StatNames{"cache.mem.hits", "cache.mem.misses",
+                             "cache.mem.insertions", "cache.mem.evictions"});
   if (!Config.DiskDir.empty())
     Disk = std::make_unique<DiskCache>(
         DiskCache::Options{Config.DiskDir, Config.DiskBytes});
@@ -19,17 +23,17 @@ bool ResultCache::open(std::string &Error) {
 }
 
 bool ResultCache::get(const Digest &Key, CacheEntry &Out) {
-  if (Memory.get(Key, Out))
+  if (stripeFor(Key).get(Key, Out))
     return true;
   if (Disk && Disk->get(Key, Out)) {
-    Memory.put(Key, Out); // Promote: the key just proved itself hot.
+    stripeFor(Key).put(Key, Out); // Promote: the key just proved itself hot.
     return true;
   }
   return false;
 }
 
 void ResultCache::put(const Digest &Key, const CacheEntry &Entry) {
-  Memory.put(Key, Entry);
+  stripeFor(Key).put(Key, Entry);
   if (Disk)
     Disk->put(Key, Entry);
 }
@@ -39,13 +43,13 @@ ResultCache::getOrCompute(const Digest &Key, const CancelToken *Cancel,
                           const std::function<SingleFlight::Result()> &Compute) {
   Lookup L;
   CacheEntry Hit;
-  if (Memory.get(Key, Hit)) {
+  if (stripeFor(Key).get(Key, Hit)) {
     L.Src = Source::Memory;
     L.R = SingleFlight::Result::value(std::move(Hit));
     return L;
   }
   if (Disk && Disk->get(Key, Hit)) {
-    Memory.put(Key, Hit);
+    stripeFor(Key).put(Key, Hit);
     L.Src = Source::Disk;
     L.R = SingleFlight::Result::value(std::move(Hit));
     return L;
@@ -69,7 +73,15 @@ ResultCache::getOrCompute(const Digest &Key, const CancelToken *Cancel,
 
 ResultCache::Stats ResultCache::stats() const {
   Stats Out;
-  Out.Memory = Memory.stats();
+  for (const auto &Stripe : Memory) {
+    const MemoryLru::Stats S = Stripe->stats();
+    Out.Memory.Hits += S.Hits;
+    Out.Memory.Misses += S.Misses;
+    Out.Memory.Insertions += S.Insertions;
+    Out.Memory.Evictions += S.Evictions;
+    Out.Memory.BytesResident += S.BytesResident;
+    Out.Memory.Entries += S.Entries;
+  }
   if (Disk) {
     Out.Disk = Disk->stats();
     Out.HasDisk = true;

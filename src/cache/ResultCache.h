@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The subsystem facade the server and the corpus driver use: a sharded
-/// in-memory LRU (L1), an optional persistent spill directory (L2), and
-/// single-flight deduplication for concurrent identical misses, behind one
-/// call:
+/// The subsystem facade the server and the corpus driver use: an in-memory
+/// LRU striped over 8 mutexes (L1), an optional persistent spill directory
+/// (L2), and single-flight deduplication for concurrent identical misses,
+/// behind one call:
 ///
 ///   ResultCache::Lookup L = Cache.getOrCompute(Key, Cancel, Compute);
 ///
@@ -28,22 +28,21 @@
 #ifndef LCM_CACHE_RESULTCACHE_H
 #define LCM_CACHE_RESULTCACHE_H
 
+#include <array>
 #include <memory>
 #include <string>
 
+#include "cache/ByteLru.h"
 #include "cache/ContentHash.h"
 #include "cache/DiskCache.h"
-#include "cache/ShardedLruCache.h"
 #include "cache/SingleFlight.h"
 
 namespace lcm {
 namespace cache {
 
 struct ResultCacheConfig {
-  /// In-memory tier byte budget.
+  /// In-memory tier byte budget, split evenly over its stripes.
   size_t MemoryBytes = 64u << 20;
-  /// Mutex stripes of the in-memory tier.
-  unsigned Shards = 8;
   /// Persistent spill directory; empty disables the disk tier.
   std::string DiskDir;
   /// Disk tier byte cap.
@@ -91,9 +90,11 @@ public:
   /// Direct insert into both tiers.
   void put(const Digest &Key, const CacheEntry &Entry);
 
+  using MemoryLru = ByteLru<CacheEntry>;
+
   /// Aggregated counters of all three components.
   struct Stats {
-    ShardedLruCache::Stats Memory;
+    MemoryLru::Stats Memory; ///< Summed over the stripes.
     DiskCache::Stats Disk;
     SingleFlight::Stats Flight;
     bool HasDisk = false;
@@ -103,10 +104,16 @@ public:
   /// One-line human summary ("hits=... misses=...") for drain logs.
   std::string summary() const;
 
-  size_t memoryBytes() const { return Memory.maxBytes(); }
-
 private:
-  ShardedLruCache Memory;
+  /// Mutex stripes of the memory tier: the server's workers touch the same
+  /// stripe only when their key digests land in it, 1/8 of the time for
+  /// distinct programs.
+  static constexpr size_t NumStripes = 8;
+  MemoryLru &stripeFor(const Digest &Key) {
+    return *Memory[size_t(Key.Hi) & (NumStripes - 1)];
+  }
+
+  std::array<std::unique_ptr<MemoryLru>, NumStripes> Memory;
   std::unique_ptr<DiskCache> Disk;
   SingleFlight Flight;
 };

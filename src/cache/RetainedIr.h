@@ -17,22 +17,20 @@
 /// answered by their retained keys against the result cache.
 ///
 /// Memory accounting: entries charge the sum of their function texts plus
-/// a fixed per-record overhead against a single byte budget, evicted LRU.
-/// A single mutex suffices — the tier is touched once per request (not per
-/// function), and edit-loop clients are few-connection by nature.
+/// a fixed per-record overhead against a single byte budget, evicted LRU
+/// (cache/ByteLru.h).  A single mutex suffices — the tier is touched once
+/// per request (not per function), and edit-loop clients are
+/// few-connection by nature.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LCM_CACHE_RETAINEDIR_H
 #define LCM_CACHE_RETAINEDIR_H
 
-#include <cstdint>
-#include <list>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/ByteLru.h"
 #include "cache/ContentHash.h"
 
 namespace lcm {
@@ -67,48 +65,16 @@ struct RetainedModule {
   }
 };
 
-/// Byte-budgeted LRU of request key -> retained canonical input.
-class RetainedIrCache {
+/// Byte-budgeted LRU of request key -> retained canonical input, charged
+/// RetainedModule::bytes().  A get() miss sends the delta request back to
+/// full optimization.
+class RetainedIrCache : public ByteLru<RetainedModule> {
 public:
-  struct Stats {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t Insertions = 0;
-    uint64_t Evictions = 0;
-    uint64_t BytesResident = 0;
-    uint64_t Entries = 0;
-  };
-
   /// \p MaxBytes of 0 disables the tier (every get misses, puts drop).
   explicit RetainedIrCache(size_t MaxBytes = 32u << 20)
-      : MaxBytes(MaxBytes) {}
-
-  /// Copies the module out and marks it most-recently-used.  False on
-  /// miss (the delta request then falls back to full optimization).
-  bool get(const Digest &Key, RetainedModule &Out);
-
-  /// Inserts (or refreshes) \p Key, evicting cold entries until the
-  /// budget holds.  Over-budget singletons are not admitted.
-  void put(const Digest &Key, RetainedModule M);
-
-  Stats stats() const;
-  size_t maxBytes() const { return MaxBytes; }
-
-private:
-  struct DigestHash {
-    size_t operator()(const Digest &D) const { return size_t(D.Lo); }
-  };
-
-  size_t MaxBytes;
-  mutable std::mutex Mu;
-  /// Front = most recently used.
-  std::list<std::pair<Digest, RetainedModule>> Lru;
-  std::unordered_map<Digest,
-                     std::list<std::pair<Digest, RetainedModule>>::iterator,
-                     DigestHash>
-      Index;
-  size_t Bytes = 0;
-  Stats Counters;
+      : ByteLru(MaxBytes,
+                {"cache.retained.hits", "cache.retained.misses",
+                 "cache.retained.insertions", "cache.retained.evictions"}) {}
 };
 
 } // namespace cache

@@ -38,7 +38,7 @@
 #include <unordered_map>
 
 #include "cache/ContentHash.h"
-#include "cache/ShardedLruCache.h"
+#include "cache/CacheEntry.h"
 #include "support/Cancel.h"
 
 namespace lcm {
@@ -112,10 +112,6 @@ private:
     std::condition_variable Cv;
     bool Done = false;
     Result R;
-  };
-
-  struct DigestHash {
-    size_t operator()(const Digest &D) const { return size_t(D.Lo); }
   };
 
   std::mutex MapMu;

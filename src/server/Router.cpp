@@ -119,60 +119,6 @@ bool ResponseCache::requestKey(const std::string &Payload,
   return true;
 }
 
-bool ResponseCache::get(const cache::Digest &Key, Value &Response) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(Key);
-  if (It == Index.end()) {
-    ++Misses;
-    return false;
-  }
-  Lru.splice(Lru.begin(), Lru, It->second);
-  Response = It->second->Doc;
-  ++Hits;
-  return true;
-}
-
-void ResponseCache::put(const cache::Digest &Key, Value Response) {
-  // Stored copies carry a null id; the hit path re-stamps the requester's.
-  Response.set("id", Value());
-  Entry E;
-  E.Key = Key;
-  E.Bytes = Response.dump(0).size() + 64;
-  E.Doc = std::move(Response);
-  if (E.Bytes > MaxBytes)
-    return;
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(Key);
-  if (It != Index.end()) {
-    // Concurrent fill of the same key: keep the incumbent.
-    Lru.splice(Lru.begin(), Lru, It->second);
-    return;
-  }
-  CurBytes += E.Bytes;
-  Lru.push_front(std::move(E));
-  Index.emplace(Key, Lru.begin());
-  ++Insertions;
-  while (CurBytes > MaxBytes && !Lru.empty()) {
-    const Entry &Victim = Lru.back();
-    CurBytes -= Victim.Bytes;
-    Index.erase(Victim.Key);
-    Lru.pop_back();
-    ++Evictions;
-  }
-}
-
-ResponseCache::CacheStats ResponseCache::stats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  CacheStats S;
-  S.Hits = Hits;
-  S.Misses = Misses;
-  S.Insertions = Insertions;
-  S.Evictions = Evictions;
-  S.Bytes = CurBytes;
-  S.Entries = Lru.size();
-  return S;
-}
-
 //===----------------------------------------------------------------------===//
 // Lifecycle
 //===----------------------------------------------------------------------===//
@@ -298,14 +244,10 @@ json::Value Router::forward(const std::string &Payload) {
   if (Cacheable) {
     Value Hit;
     if (Cache->get(CacheKey, Hit)) {
-      NumCacheHits.fetch_add(1);
-      Stats::bump("router.cache.hits");
       Hit.set("id", Id);
       T.note("cache", "hit");
       return Hit;
     }
-    NumCacheMisses.fetch_add(1);
-    Stats::bump("router.cache.misses");
   }
 
   const std::vector<size_t> Order = Ring.walk(Point);
@@ -344,8 +286,13 @@ json::Value Router::forward(const std::string &Payload) {
         Stats::bump("router.response." +
                     (St && St->isString() ? St->asString()
                                           : std::string("unknown")));
-        if (Cacheable && St && St->isString() && St->asString() == "ok")
-          Cache->put(CacheKey, Response);
+        if (Cacheable && St && St->isString() && St->asString() == "ok") {
+          // Stored copies carry a null id; the hit path re-stamps it.
+          Value Stored = Response;
+          Stored.set("id", Value());
+          const size_t Bytes = Stored.dump(0).size() + 64;
+          Cache->put(CacheKey, std::move(Stored), Bytes);
+        }
         T.note("shard", S.Ep.name());
         T.note("attempts", Attempt);
         return Response;
@@ -415,8 +362,11 @@ Router::Counters Router::counters() const {
   C.Retries = NumRetries.load();
   C.Failovers = NumFailovers.load();
   C.Unavailable = NumUnavailable.load();
-  C.CacheHits = NumCacheHits.load();
-  C.CacheMisses = NumCacheMisses.load();
+  if (Cache) {
+    const ResponseCache::Stats S = Cache->stats();
+    C.CacheHits = S.Hits;
+    C.CacheMisses = S.Misses;
+  }
   return C;
 }
 

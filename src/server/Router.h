@@ -38,14 +38,13 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/ByteLru.h"
 #include "cache/ContentHash.h"
 #include "server/Client.h"
 #include "server/Server.h"
@@ -122,45 +121,20 @@ struct RouterOptions {
 };
 
 /// The router's bounded response cache: an LRU over full response
-/// documents, keyed by the digest of the request's semantics-bearing
-/// fields.  Stored responses have their `id` nulled; hits re-stamp the
-/// requester's id, so a cached answer is byte-compatible with a fresh
-/// forward.  Internally synchronized.
-class ResponseCache {
+/// documents (cache/ByteLru.h), keyed by the digest of the request's
+/// semantics-bearing fields and charged `dump(0).size() + 64` bytes.
+/// Router::forward stores responses with their `id` nulled and re-stamps
+/// the requester's id on a hit, so a cached answer is byte-compatible with
+/// a fresh forward.  Hits and misses bump `router.cache.*`.
+class ResponseCache : public cache::ByteLru<json::Value> {
 public:
-  explicit ResponseCache(size_t MaxBytes) : MaxBytes(MaxBytes) {}
+  explicit ResponseCache(size_t MaxBytes)
+      : ByteLru(MaxBytes, {"router.cache.hits", "router.cache.misses"}) {}
 
   /// Digest of every request field except `id` and `deadline_ms`, member
   /// order ignored.  False when the payload is not a JSON object (such
   /// requests bypass the cache and fail on the shard).
   static bool requestKey(const std::string &Payload, cache::Digest &Key);
-
-  bool get(const cache::Digest &Key, json::Value &Response);
-  void put(const cache::Digest &Key, json::Value Response);
-
-  struct CacheStats {
-    uint64_t Hits = 0, Misses = 0, Insertions = 0, Evictions = 0;
-    size_t Bytes = 0, Entries = 0;
-  };
-  CacheStats stats() const;
-
-private:
-  struct Entry {
-    cache::Digest Key;
-    json::Value Doc;
-    size_t Bytes = 0;
-  };
-  struct DigestHash {
-    size_t operator()(const cache::Digest &D) const { return size_t(D.Lo); }
-  };
-
-  const size_t MaxBytes;
-  mutable std::mutex Mu;
-  std::list<Entry> Lru; ///< Front = most recently used.
-  std::unordered_map<cache::Digest, std::list<Entry>::iterator, DigestHash>
-      Index;
-  size_t CurBytes = 0;
-  uint64_t Hits = 0, Misses = 0, Insertions = 0, Evictions = 0;
 };
 
 class Router {
@@ -186,8 +160,10 @@ public:
     uint64_t Retries = 0;     ///< Failed attempts that were retried.
     uint64_t Failovers = 0;   ///< Requests answered by a non-first shard.
     uint64_t Unavailable = 0; ///< Requests no shard could answer.
-    uint64_t CacheHits = 0;   ///< Requests answered from the response cache.
-    uint64_t CacheMisses = 0; ///< Cacheable requests that went to a shard.
+    /// Requests answered from the response cache, and cacheable requests
+    /// that went to a shard: the cache's own counts, 0 when it is off.
+    uint64_t CacheHits = 0;
+    uint64_t CacheMisses = 0;
   };
   Counters counters() const;
 
@@ -198,6 +174,9 @@ public:
     uint64_t Failures = 0; ///< Connect/IO failures charged to this shard.
   };
   std::vector<ShardStatus> shardStatus() const;
+
+  /// The response cache, null when CacheBytes == 0.
+  const ResponseCache *responseCache() const { return Cache.get(); }
 
   /// The routing digest: a 64-bit point derived from the request's
   /// content-defining fields (ir, pipeline, check/report), matching what
@@ -243,8 +222,6 @@ private:
   std::atomic<uint64_t> NumRetries{0};
   std::atomic<uint64_t> NumFailovers{0};
   std::atomic<uint64_t> NumUnavailable{0};
-  std::atomic<uint64_t> NumCacheHits{0};
-  std::atomic<uint64_t> NumCacheMisses{0};
 };
 
 } // namespace server

@@ -20,11 +20,6 @@ inline bool useSimd(size_t Words) {
 
 } // namespace
 
-#if LCM_COUNT_WORDOPS
-thread_local uint64_t BitVectorOps::WordOps = 0;
-thread_local uint64_t BitVectorOps::SimdWordOps = 0;
-#endif
-
 void BitVector::resize(size_t NewNumBits, bool Value) {
   size_t OldNumBits = NumBits;
   NumBits = NewNumBits;

@@ -42,8 +42,10 @@ namespace lcm {
 /// SolverStats stay exact on every thread.
 struct BitVectorOps {
 #if LCM_COUNT_WORDOPS
-  static thread_local uint64_t WordOps;
-  static thread_local uint64_t SimdWordOps;
+  // Defined inline: GCC's UBSan reports a null load on every access to an
+  // out-of-line static thread_local member (GCC PR64888).
+  static inline thread_local uint64_t WordOps = 0;
+  static inline thread_local uint64_t SimdWordOps = 0;
 
   static void note(size_t Words) { WordOps += Words; }
   /// Word ops that additionally ran through a dispatched SIMD kernel

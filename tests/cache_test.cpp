@@ -5,8 +5,10 @@
 //
 // - content hashing: stable keys, hex round-trip, and strict separation —
 //   any config bit that can change the optimized output changes the key;
-// - sharded LRU: byte-budgeted eviction in recency order, refresh on hit,
-//   oversized entries refused, counters accurate;
+// - ByteLru: byte-budgeted eviction in recency order, refresh on hit,
+//   the budget kept after every put (refreshes included), oversized
+//   entries refused, counters accurate locally and in the Stats registry;
+//   the result cache's 8 stripes sum to its budget;
 // - single-flight: K concurrent identical computations collapse to one;
 //   deterministic failures are shared, a cancelled leader does NOT poison
 //   followers (they re-elect), a follower's own deadline only bounds its
@@ -21,14 +23,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/ByteLru.h"
 #include "cache/ContentHash.h"
 #include "cache/DiskCache.h"
 #include "cache/ResultCache.h"
-#include "cache/ShardedLruCache.h"
 #include "cache/SingleFlight.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "server/Service.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
@@ -162,11 +165,12 @@ TEST(ContentHash, StreamingFunctionKeyMatchesStringKey) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded LRU
+// ByteLru: the one LRU behind the memory tier, the retained-IR tier and the
+// router's response cache
 //===----------------------------------------------------------------------===//
 
-TEST(ShardedLru, PutGetRoundTrip) {
-  ShardedLruCache Cache;
+TEST(ByteLru, PutGetRoundTrip) {
+  ByteLru<CacheEntry> Cache(64u << 20);
   CacheEntry E = makeEntry("optimized text", 7);
   E.Checked = true;
   E.CheckRuns = 3;
@@ -183,21 +187,18 @@ TEST(ShardedLru, PutGetRoundTrip) {
   EXPECT_EQ(Out.CheckRuns, 3u);
   EXPECT_EQ(Out.ReportJson, E.ReportJson);
 
-  ShardedLruCache::Stats S = Cache.stats();
+  ByteLru<CacheEntry>::Stats S = Cache.stats();
   EXPECT_EQ(S.Hits, 1u);
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Insertions, 1u);
   EXPECT_EQ(S.Entries, 1u);
+  EXPECT_EQ(S.BytesResident, E.bytes());
 }
 
-TEST(ShardedLru, EvictsColdEntriesToRespectBudget) {
-  // One shard makes recency order deterministic.  Each entry charges
-  // Ir.size() + 96 bytes; a 400-byte budget holds two 100-byte entries.
-  ShardedLruCache::Options Opts;
-  Opts.MaxBytes = 400;
-  Opts.Shards = 1;
-  ShardedLruCache Cache(Opts);
-
+TEST(ByteLru, EvictsColdEntryAfterTouch) {
+  // Each entry charges Ir.size() + 96 bytes; a 400-byte budget holds two
+  // 100-byte entries.
+  ByteLru<CacheEntry> Cache(400);
   const Digest K1 = hashBytes("k1"), K2 = hashBytes("k2"),
                K3 = hashBytes("k3");
   Cache.put(K1, makeEntry(std::string(100, 'a')));
@@ -212,30 +213,24 @@ TEST(ShardedLru, EvictsColdEntriesToRespectBudget) {
   EXPECT_FALSE(Cache.get(K2, Out)) << "cold entry should have been evicted";
   EXPECT_TRUE(Cache.get(K3, Out));
 
-  ShardedLruCache::Stats S = Cache.stats();
+  ByteLru<CacheEntry>::Stats S = Cache.stats();
   EXPECT_EQ(S.Evictions, 1u);
   EXPECT_EQ(S.Entries, 2u);
-  EXPECT_LE(S.BytesResident, Opts.MaxBytes);
+  EXPECT_LE(S.BytesResident, 400u);
 }
 
-TEST(ShardedLru, BudgetHoldsUnderManyInsertions) {
-  ShardedLruCache::Options Opts;
-  Opts.MaxBytes = 4096;
-  Opts.Shards = 4;
-  ShardedLruCache Cache(Opts);
-  for (int I = 0; I != 200; ++I)
-    Cache.put(hashBytes("key" + std::to_string(I)),
-              makeEntry(std::string(64, char('a' + I % 26))));
-  EXPECT_LE(Cache.stats().BytesResident, Opts.MaxBytes);
+TEST(ByteLru, BudgetHoldsUnderManyPuts) {
+  ByteLru<CacheEntry> Cache(1024);
+  for (int I = 0; I != 200; ++I) {
+    Cache.put(hashBytes("key" + std::to_string(I % 50)),
+              makeEntry(std::string(I % 7 * 40, char('a' + I % 26))));
+    ASSERT_LE(Cache.stats().BytesResident, 1024u) << "after put " << I;
+  }
   EXPECT_GT(Cache.stats().Evictions, 0u);
 }
 
-TEST(ShardedLru, OversizedEntryIsNotAdmitted) {
-  ShardedLruCache::Options Opts;
-  Opts.MaxBytes = 256;
-  Opts.Shards = 1;
-  ShardedLruCache Cache(Opts);
-
+TEST(ByteLru, OversizedEntryIsNotAdmitted) {
+  ByteLru<CacheEntry> Cache(256);
   const Digest Small = hashBytes("small");
   Cache.put(Small, makeEntry("tiny"));
   Cache.put(hashBytes("huge"), makeEntry(std::string(10'000, 'x')));
@@ -243,11 +238,13 @@ TEST(ShardedLru, OversizedEntryIsNotAdmitted) {
   CacheEntry Out;
   EXPECT_FALSE(Cache.get(hashBytes("huge"), Out));
   EXPECT_TRUE(Cache.get(Small, Out))
-      << "an inadmissible giant must not wipe the shard";
+      << "an inadmissible giant must not wipe the cache";
+  EXPECT_EQ(Cache.stats().Insertions, 1u);
+  EXPECT_EQ(Cache.stats().Evictions, 0u);
 }
 
-TEST(ShardedLru, RefreshReplacesValue) {
-  ShardedLruCache Cache;
+TEST(ByteLru, RefreshReplacesValue) {
+  ByteLru<CacheEntry> Cache(64u << 20);
   const Digest K = hashBytes("k");
   Cache.put(K, makeEntry("first"));
   Cache.put(K, makeEntry("second"));
@@ -255,6 +252,123 @@ TEST(ShardedLru, RefreshReplacesValue) {
   ASSERT_TRUE(Cache.get(K, Out));
   EXPECT_EQ(Out.Ir, "second");
   EXPECT_EQ(Cache.stats().Entries, 1u);
+  EXPECT_EQ(Cache.stats().BytesResident, makeEntry("second").bytes());
+}
+
+TEST(ByteLru, RefreshWithALargerValueEvictsToKeepBudget) {
+  // 106 + 246 bytes resident of 400; refreshing K1 with a 346-byte value
+  // must evict K2 rather than hold 592 bytes.
+  ByteLru<CacheEntry> Cache(400);
+  const Digest K1 = hashBytes("k1"), K2 = hashBytes("k2");
+  Cache.put(K1, makeEntry(std::string(10, 'a')));
+  Cache.put(K2, makeEntry(std::string(150, 'b')));
+  ASSERT_EQ(Cache.stats().BytesResident, 352u);
+
+  Cache.put(K1, makeEntry(std::string(250, 'c')));
+  ByteLru<CacheEntry>::Stats S = Cache.stats();
+  EXPECT_LE(S.BytesResident, 400u);
+  EXPECT_EQ(S.BytesResident, 346u);
+  EXPECT_EQ(S.Evictions, 1u);
+  EXPECT_EQ(S.Entries, 1u);
+
+  CacheEntry Out;
+  EXPECT_FALSE(Cache.get(K2, Out));
+  ASSERT_TRUE(Cache.get(K1, Out));
+  EXPECT_EQ(Out.Ir, std::string(250, 'c'));
+}
+
+TEST(ByteLru, ExplicitChargeEvictsByBytes) {
+  // The router's shape: documents without a bytes() of their own, charged
+  // by the caller.
+  ByteLru<json::Value> Cache(700);
+  const Digest KA{1, 0}, KB{2, 0}, KC{3, 0};
+  Cache.put(KA, json::Value::str("a"), 300);
+  Cache.put(KB, json::Value::str("b"), 300);
+
+  json::Value Out;
+  ASSERT_TRUE(Cache.get(KA, Out)); // A becomes most recently used.
+  EXPECT_EQ(Out.asString(), "a");
+
+  Cache.put(KC, json::Value::str("c"), 300); // Evicts B, the LRU tail.
+  EXPECT_FALSE(Cache.get(KB, Out));
+  EXPECT_TRUE(Cache.get(KA, Out));
+  EXPECT_TRUE(Cache.get(KC, Out));
+
+  ByteLru<json::Value>::Stats S = Cache.stats();
+  EXPECT_EQ(S.Entries, 2u);
+  EXPECT_EQ(S.Evictions, 1u);
+  EXPECT_EQ(S.BytesResident, 600u);
+}
+
+TEST(ByteLru, ZeroBudgetAdmitsNothing) {
+  ByteLru<CacheEntry> Cache(0);
+  const Digest K = hashBytes("k");
+  Cache.put(K, makeEntry("x"));
+  CacheEntry Out;
+  EXPECT_FALSE(Cache.get(K, Out));
+  EXPECT_EQ(Cache.stats().Entries, 0u);
+}
+
+TEST(ByteLru, StatNamesBumpTheGlobalRegistry) {
+  ByteLru<CacheEntry> Cache(300, {"test.bytelru.hits", "test.bytelru.misses",
+                                  "test.bytelru.insertions",
+                                  "test.bytelru.evictions"});
+  const uint64_t H0 = lcm::Stats::get("test.bytelru.hits"),
+                 M0 = lcm::Stats::get("test.bytelru.misses"),
+                 I0 = lcm::Stats::get("test.bytelru.insertions"),
+                 E0 = lcm::Stats::get("test.bytelru.evictions");
+  CacheEntry Out;
+  Cache.get(hashBytes("a"), Out);
+  Cache.put(hashBytes("a"), makeEntry(std::string(100, 'a')));
+  Cache.put(hashBytes("b"), makeEntry(std::string(100, 'b')));
+  Cache.get(hashBytes("b"), Out);
+  ByteLru<CacheEntry>::Stats S = Cache.stats();
+  EXPECT_EQ(S.Evictions, 1u);
+  EXPECT_EQ(lcm::Stats::get("test.bytelru.hits") - H0, S.Hits);
+  EXPECT_EQ(lcm::Stats::get("test.bytelru.misses") - M0, S.Misses);
+  EXPECT_EQ(lcm::Stats::get("test.bytelru.insertions") - I0, S.Insertions);
+  EXPECT_EQ(lcm::Stats::get("test.bytelru.evictions") - E0, S.Evictions);
+}
+
+TEST(ByteLru, ConcurrentPutsAndGetsKeepTheBudget) {
+  ByteLru<CacheEntry> Cache(2048);
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != 4; ++T)
+    Workers.emplace_back([&, T] {
+      CacheEntry Out;
+      for (int I = 0; I != 500; ++I) {
+        const Digest K = hashBytes("key" + std::to_string((I * 7 + T) % 40));
+        if (!Cache.get(K, Out))
+          Cache.put(K, makeEntry(std::string((I + T) % 5 * 50, 'x')));
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  ByteLru<CacheEntry>::Stats S = Cache.stats();
+  EXPECT_EQ(S.Hits + S.Misses, 2000u);
+  EXPECT_LE(S.BytesResident, 2048u);
+  EXPECT_EQ(S.Insertions, S.Misses) << "every miss puts an admissible entry";
+  // Two threads missing the same key both put; the second replaces the
+  // first without an eviction.
+  EXPECT_GE(S.Insertions - S.Evictions, S.Entries);
+}
+
+TEST(ResultCacheTest, MemoryTierSumsStripesAndBumpsCacheMem) {
+  ResultCacheConfig Config;
+  Config.MemoryBytes = 8 * 1024; // 1 KiB per stripe.
+  ResultCache Cache(Config);
+  const uint64_t I0 = lcm::Stats::get("cache.mem.insertions"),
+                 E0 = lcm::Stats::get("cache.mem.evictions");
+  for (int I = 0; I != 300; ++I)
+    Cache.put(hashBytes("key" + std::to_string(I)),
+              makeEntry(std::string(200, 'x')));
+  const ResultCache::Stats S = Cache.stats();
+  EXPECT_LE(S.Memory.BytesResident, Config.MemoryBytes);
+  EXPECT_GT(S.Memory.Evictions, 0u);
+  EXPECT_EQ(S.Memory.Insertions, 300u);
+  EXPECT_EQ(S.Memory.Insertions - S.Memory.Evictions, S.Memory.Entries);
+  EXPECT_EQ(lcm::Stats::get("cache.mem.insertions") - I0, 300u);
+  EXPECT_EQ(lcm::Stats::get("cache.mem.evictions") - E0, S.Memory.Evictions);
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,15 +14,18 @@
 //   elsewhere, shutdown drains in-flight requests, and only a fully dark
 //   fleet yields `unavailable`;
 // - ResponseCache: keys ignore the envelope (id, deadline) but cover every
-//   semantics-bearing field, eviction is LRU by bytes, repeats are
-//   answered without touching a shard, and error responses are never
-//   cached.
+//   semantics-bearing field, stored responses carry a null id and the
+//   requester's id is stamped on a hit, repeats are answered without
+//   touching a shard, hits and misses are counted once (the cache's own
+//   counts feed counters() and router.cache.*), and error responses are
+//   never cached.  Its LRU is cache::ByteLru, tested in cache_test.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/Client.h"
 #include "server/Router.h"
 #include "server/Server.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -163,35 +166,6 @@ TEST(ResponseCache, RequestKeyIgnoresEnvelopeAndMemberOrder) {
   EXPECT_FALSE(ResponseCache::requestKey("not json", K4));
 }
 
-TEST(ResponseCache, LruEvictsByBytesAndNullsStoredId) {
-  auto Doc = [](const std::string &Tag) {
-    Value V = Value::object();
-    V.set("status", Value::str("ok"));
-    V.set("id", Value::number(int64_t(99)));
-    V.set("ir", Value::str(Tag + std::string(200, 'x')));
-    return V;
-  };
-  // Budget fits two padded entries but not three.
-  ResponseCache C(/*MaxBytes=*/700);
-  cache::Digest KA{1, 0}, KB{2, 0}, KC{3, 0};
-  C.put(KA, Doc("a"));
-  C.put(KB, Doc("b"));
-
-  Value Out;
-  ASSERT_TRUE(C.get(KA, Out)); // A becomes most recently used.
-  EXPECT_TRUE(Out.find("id")->isNull()) << "stored id must be nulled";
-
-  C.put(KC, Doc("c")); // Evicts B, the LRU tail.
-  EXPECT_FALSE(C.get(KB, Out));
-  EXPECT_TRUE(C.get(KA, Out));
-  EXPECT_TRUE(C.get(KC, Out));
-
-  ResponseCache::CacheStats St = C.stats();
-  EXPECT_EQ(St.Entries, 2u);
-  EXPECT_EQ(St.Evictions, 1u);
-  EXPECT_LE(St.Bytes, 700u);
-}
-
 //===----------------------------------------------------------------------===//
 // End-to-end over real shards
 //===----------------------------------------------------------------------===//
@@ -272,6 +246,9 @@ TEST(RouterE2E, ForwardsAndKeepsAffinity) {
   EXPECT_EQ(St[0].Forwards + St[2].Forwards, 0u);
   EXPECT_EQ(R.counters().Failovers, 0u);
   EXPECT_EQ(R.counters().Unavailable, 0u);
+  // No response cache configured: nothing to count.
+  EXPECT_EQ(R.responseCache(), nullptr);
+  EXPECT_EQ(R.counters().CacheHits + R.counters().CacheMisses, 0u);
   R.shutdown();
 }
 
@@ -282,11 +259,21 @@ TEST(RouterE2E, ResponseCacheAnswersRepeatsWithoutForwarding) {
   Router R(Opts);
   std::string Error;
   ASSERT_TRUE(R.start(Error)) << Error;
+  const uint64_t StatHits0 = Stats::get("router.cache.hits");
+  const uint64_t StatMisses0 = Stats::get("router.cache.misses");
 
   // Same semantics under a different envelope: the repeat is served from
   // the router, never reaches a shard, and carries its own id.
   Value A = R.forward(makePayload(1, program(7)));
   ASSERT_EQ(statusOf(A), "ok") << A.dump();
+  EXPECT_TRUE(*A.find("id") == Value::number(int64_t(1)))
+      << "the forwarded response lost its id to the stored copy";
+  // The stored copy is charged with its id nulled.
+  Value Stored = A;
+  Stored.set("id", Value());
+  ASSERT_NE(R.responseCache(), nullptr);
+  EXPECT_EQ(R.responseCache()->stats().BytesResident,
+            Stored.dump(0).size() + 64);
   Value B = R.forward(makePayload(2, program(7)));
   ASSERT_EQ(statusOf(B), "ok") << B.dump();
   EXPECT_TRUE(*B.find("id") == Value::number(int64_t(2)));
@@ -311,6 +298,9 @@ TEST(RouterE2E, ResponseCacheAnswersRepeatsWithoutForwarding) {
   EXPECT_NE(statusOf(E1), "ok");
   EXPECT_EQ(R.counters().CacheHits, 1u)
       << "an error response was served from the cache";
+  EXPECT_EQ(Stats::get("router.cache.hits") - StatHits0, 1u);
+  EXPECT_EQ(Stats::get("router.cache.misses") - StatMisses0,
+            R.counters().CacheMisses);
   R.shutdown();
 }
 
